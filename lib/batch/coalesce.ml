@@ -23,20 +23,34 @@ let followers () = Xr_obs.Registry.Counter.value followers_h
 
 let helped () = Xr_obs.Registry.Counter.value helped_h
 
-type outcome = Body of string | Failed of exn
+type 'a outcome = Value of 'a | Failed of exn
 
-type flight = {
+type 'a flight = {
   fm : Mutex.t;
   cv : Condition.t;
-  mutable outcome : outcome option;
+  mutable outcome : 'a outcome option;
   mutable waiters : int;
 }
 
-type t = {
+type 'a t = {
   lock : Mutex.t; (* guards [tbl] only; never held while rendering *)
-  tbl : (string, flight) Hashtbl.t;
+  tbl : (string, 'a flight) Hashtbl.t;
   window : int Atomic.t; (* microseconds: atomically updatable, enough precision *)
 }
+
+(* Open leader frames on this domain. While one is open, anything the
+   domain picks up by helping the pool runs nested inside a render that
+   other requests may wait for. Following a flight from there could
+   wait on that very render, or on another domain's leader that is
+   itself stuck following ours, so a nested arrival renders on its own. *)
+let frames : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+
+let leading () = !(Domain.DLS.get frames) > 0
+
+let lead f =
+  let d = Domain.DLS.get frames in
+  incr d;
+  Fun.protect ~finally:(fun () -> decr d) f
 
 let window_ms t = float_of_int (Atomic.get t.window) /. 1000.
 
@@ -56,6 +70,9 @@ let in_flight t =
 let run t ~key f =
   Mutex.lock t.lock;
   match Hashtbl.find_opt t.tbl key with
+  | Some _ when leading () ->
+    Mutex.unlock t.lock;
+    (f (), false)
   | Some fl ->
     Mutex.unlock t.lock;
     Mutex.lock fl.fm;
@@ -67,7 +84,7 @@ let run t ~key f =
        sets [outcome] and broadcasts under [fm], and we re-check
        [outcome] after re-acquiring [fm] before every wait. *)
     let rec await () =
-      if fl.outcome = None then begin
+      if Option.is_none fl.outcome then begin
         Mutex.unlock fl.fm;
         let worked =
           match Xr_pool.peek_global () with
@@ -76,7 +93,7 @@ let run t ~key f =
         in
         if worked then Xr_obs.Registry.Counter.inc helped_h;
         Mutex.lock fl.fm;
-        if (not worked) && fl.outcome = None then Condition.wait fl.cv fl.fm;
+        if (not worked) && Option.is_none fl.outcome then Condition.wait fl.cv fl.fm;
         await ()
       end
     in
@@ -85,7 +102,7 @@ let run t ~key f =
     Mutex.unlock fl.fm;
     Xr_obs.Registry.Counter.inc followers_h;
     (match o with
-    | Some (Body b) -> (b, true)
+    | Some (Value v) -> (v, true)
     | Some (Failed e) -> raise e
     | None -> assert false)
   | None ->
@@ -99,7 +116,7 @@ let run t ~key f =
        immediately. *)
     let w = window_ms t in
     if w > 0. then Unix.sleepf (w /. 1000.);
-    let out = try Body (f ()) with e -> Failed e in
+    let out = try Value (lead f) with e -> Failed e in
     (* Close admission first: once the key is out of [tbl] a new
        arrival starts a fresh flight rather than reading a stale
        body. Existing followers still hold their [fl] reference. *)
@@ -113,4 +130,4 @@ let run t ~key f =
     Mutex.unlock fl.fm;
     Xr_obs.Registry.Counter.inc leaders_h;
     Xr_obs.Registry.Histogram.observe width_h (float_of_int (w + 1));
-    (match out with Body b -> (b, false) | Failed e -> raise e)
+    (match out with Value v -> (v, false) | Failed e -> raise e)

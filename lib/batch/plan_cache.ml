@@ -20,7 +20,9 @@ let evictions () = Xr_obs.Registry.Counter.value evictions_h
 
 type shard = {
   m : Mutex.t;
+  compiled : Condition.t; (* broadcast when a compile of this shard ends *)
   tbl : (string, entry) Hashtbl.t;
+  compiling : (string, unit) Hashtbl.t; (* keys some domain is compiling *)
   order : string Queue.t; (* FIFO eviction: generation-keyed entries age out *)
 }
 
@@ -34,7 +36,13 @@ let create ?(shards = 8) ~capacity () =
   {
     shards =
       Array.init n (fun _ ->
-          { m = Mutex.create (); tbl = Hashtbl.create 16; order = Queue.create () });
+          {
+            m = Mutex.create ();
+            compiled = Condition.create ();
+            tbl = Hashtbl.create 16;
+            compiling = Hashtbl.create 4;
+            order = Queue.create ();
+          });
     shard_capacity;
   }
 
@@ -45,35 +53,53 @@ let shard_of t key = t.shards.(Hashtbl.hash key land (Array.length t.shards - 1)
 let find_or_compile t ~key f =
   let s = shard_of t key in
   Mutex.lock s.m;
+  (* Wait out another domain's compile of the same key (a herd on one
+     query mines once) — but never from inside a leader frame, where
+     that compile may be the very one this lookup is nested in. *)
+  while
+    Hashtbl.mem s.compiling key
+    && (not (Hashtbl.mem s.tbl key))
+    && not (Coalesce.leading ())
+  do
+    Condition.wait s.compiled s.m
+  done;
   match Hashtbl.find_opt s.tbl key with
   | Some e ->
     Mutex.unlock s.m;
     Xr_obs.Registry.Counter.inc hits_h;
     e
   | None ->
-    (* Compiling under the shard lock is deliberate: the lock contended
-       for is almost always the *same key* (a thundering herd on one
-       query), and holding it turns the herd into one mining pass. *)
-    let e =
-      try f ()
-      with ex ->
-        Mutex.unlock s.m;
-        raise ex
-    in
-    Hashtbl.replace s.tbl key e;
-    Queue.push key s.order;
-    let evicted = ref 0 in
-    while Hashtbl.length s.tbl > t.shard_capacity do
-      let victim = Queue.pop s.order in
-      if Hashtbl.mem s.tbl victim then begin
-        Hashtbl.remove s.tbl victim;
-        incr evicted
-      end
-    done;
+    let owner = not (Hashtbl.mem s.compiling key) in
+    if owner then Hashtbl.replace s.compiling key ();
     Mutex.unlock s.m;
-    Xr_obs.Registry.Counter.inc misses_h;
-    if !evicted > 0 then Xr_obs.Registry.Counter.add evictions_h !evicted;
-    e
+    (* Compile outside the lock: the compile helps the domain pool,
+       and a task it picks up may look up a plan in this very shard. *)
+    let compiled = try Ok (Coalesce.lead f) with ex -> Error ex in
+    Mutex.lock s.m;
+    if owner then begin
+      Hashtbl.remove s.compiling key;
+      Condition.broadcast s.compiled
+    end;
+    let evicted = ref 0 in
+    (match compiled with
+    | Ok e when not (Hashtbl.mem s.tbl key) ->
+      Hashtbl.replace s.tbl key e;
+      Queue.push key s.order;
+      while Hashtbl.length s.tbl > t.shard_capacity do
+        let victim = Queue.pop s.order in
+        if Hashtbl.mem s.tbl victim then begin
+          Hashtbl.remove s.tbl victim;
+          incr evicted
+        end
+      done
+    | _ -> () (* failed, or a nested compile of this key landed first *));
+    Mutex.unlock s.m;
+    match compiled with
+    | Error ex -> raise ex
+    | Ok e ->
+      Xr_obs.Registry.Counter.inc misses_h;
+      if !evicted > 0 then Xr_obs.Registry.Counter.add evictions_h !evicted;
+      e
 
 let size t =
   Array.fold_left

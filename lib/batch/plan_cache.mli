@@ -6,11 +6,14 @@
     invalidation protocol: the new generation's requests simply miss
     under their new keys while the old entries age out FIFO.
 
-    Lookups compile under the owning shard's lock, which doubles as
-    single-flight per shard: concurrent requests for the same key (the
-    expensive case — rule mining) compile once and everyone else reads
-    the cached plan. Hits, misses and evictions are exported to the
-    registry as [xr_plan_cache_events_total{event=...}]. *)
+    Compiles run outside the shard lock (a compile helps the domain
+    pool, and the task it picks up may look up a plan in the same
+    shard). Concurrent lookups of a key being compiled wait for it, so
+    a herd on one query (the expensive case — rule mining) compiles
+    once — except from inside an open {!Coalesce.lead} frame, which
+    compiles on its own rather than risk waiting on itself. Hits,
+    misses and evictions are exported to the registry as
+    [xr_plan_cache_events_total{event=...}]. *)
 
 type entry =
   | Search of Plan.search

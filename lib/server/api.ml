@@ -25,22 +25,31 @@ let query_ids (index : Index.t) keywords =
 
 let keywords_json keywords = Json.List (List.map (fun k -> Json.String k) keywords)
 
-let search_payload index ~query ~ranked ?(limit = -1) entries =
+type item = { score : float; dewey : string; json : Json.t }
+
+let search_items index ~query ~ranked ?(limit = -1) entries =
   let ids = query_ids index query in
-  let items =
-    List.map
-      (fun (d, s) ->
+  List.map
+    (fun (d, s) ->
+      let json =
         if ranked then result_item index ~query_ids:ids ~score:s d
-        else result_item index ~query_ids:ids d)
-      (take limit entries)
-  in
+        else result_item index ~query_ids:ids d
+      in
+      { score = s; dewey = Dewey.to_string d; json })
+    (take limit entries)
+
+let search_json ~query ~ranked ~count items =
   Json.Obj
     [
       ("query", keywords_json query);
-      ("count", Json.Int (List.length entries));
+      ("count", Json.Int count);
       ("ranked", Json.Bool ranked);
-      ("results", Json.List items);
+      ("results", Json.List (List.map (fun i -> i.json) items));
     ]
+
+let search_payload index ~query ~ranked ?limit entries =
+  search_json ~query ~ranked ~count:(List.length entries)
+    (search_items index ~query ~ranked ?limit entries)
 
 let scored_json (s : Xr_refine.Ranking.scored) =
   Json.Obj
@@ -150,10 +159,6 @@ let index_footprint (index : Index.t) =
   let largest =
     let sorted =
       List.sort (fun (_, a, _) (_, b, _) -> Int.compare b a) (List.rev !lists)
-    in
-    let rec take n = function
-      | x :: rest when n > 0 -> x :: take (n - 1) rest
-      | _ -> []
     in
     take 10 sorted
   in

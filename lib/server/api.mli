@@ -12,6 +12,29 @@ open Xr_xml
 val result_item :
   Xr_index.Index.t -> query_ids:Interner.id list -> ?score:float -> Dewey.t -> Json.t
 
+(** [take limit l] is the first [limit] elements of [l]; all of [l]
+    when [limit] is negative. *)
+val take : int -> 'a list -> 'a list
+
+(** One rendered [/search] result: its object plus the score and Dewey
+    label a multi-corpus merge orders by (the score is [0.] unranked). *)
+type item = { score : float; dewey : string; json : Json.t }
+
+(** [search_items index ~query ~ranked ?limit entries] renders the
+    first [limit] entries (all when negative, the default) as
+    {!result_item}s, scored when [ranked]. *)
+val search_items :
+  Xr_index.Index.t ->
+  query:string list ->
+  ranked:bool ->
+  ?limit:int ->
+  (Dewey.t * float) list ->
+  item list
+
+(** [search_json ~query ~ranked ~count items] is the [/search] object
+    around already-rendered items; [count] is the full result count. *)
+val search_json : query:string list -> ranked:bool -> count:int -> item list -> Json.t
+
 (** [search_payload index ~query ~ranked ?limit entries] renders a
     [/search] response; [entries] pair each SLCA with its relevance score
     (ignored unless [ranked]). [count] is the full result count even when

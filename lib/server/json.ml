@@ -9,28 +9,41 @@ type t =
 
 (* ---- encoding ---------------------------------------------------------- *)
 
+(* Copies runs of plain characters whole: the encoder sits on every
+   response, cache hits included. *)
 let escape_to b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
+  let start = ref 0 in
+  let flush i esc =
+    Buffer.add_substring b s !start (i - !start);
+    Buffer.add_string b esc;
+    start := i + 1
+  in
+  String.iteri
+    (fun i c ->
       match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\b' -> Buffer.add_string b "\\b"
-      | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
+      | '"' -> flush i "\\\""
+      | '\\' -> flush i "\\\\"
+      | '\n' -> flush i "\\n"
+      | '\r' -> flush i "\\r"
+      | '\t' -> flush i "\\t"
+      | '\b' -> flush i "\\b"
+      | '\012' -> flush i "\\f"
+      | c when Char.code c < 0x20 -> flush i (Printf.sprintf "\\u%04x" (Char.code c))
+      | _ -> ())
     s;
+  Buffer.add_substring b s !start (String.length s - !start);
   Buffer.add_char b '"'
+
+(* The primitive behind [Printf.sprintf "%.12g"], minus the format
+   interpretation that dominated rendering a scored result list. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let float_to_string f =
   match Float.classify_float f with
   | Float.FP_nan | Float.FP_infinite -> "null"
   | _ ->
-    let s = Printf.sprintf "%.12g" f in
+    let s = format_float "%.12g" f in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ ".0"
 
 let rec to_buffer b = function

@@ -24,6 +24,11 @@ val to_string : t -> string
 (** [to_buffer b v] appends the encoding of [v] to [b]. *)
 val to_buffer : Buffer.t -> t -> unit
 
+(** [float_to_string f] is the encoding of [Float f]: 12 significant
+    digits, always with a fraction or an exponent; [null] when [f] is
+    not finite. *)
+val float_to_string : float -> string
+
 (** [of_string s] parses a complete JSON text (trailing garbage is an
     error). Numbers without fraction or exponent decode to [Int] when
     they fit, [Float] otherwise. *)

@@ -2,18 +2,18 @@
    intrusive doubly-linked list in recency order ([head] = most recent,
    [tail] = LRU victim). All shard state is guarded by the shard mutex. *)
 
-type node = {
+type 'v node = {
   key : string;
-  mutable value : string;
-  mutable prev : node option;
-  mutable next : node option;
+  mutable value : 'v;
+  mutable prev : 'v node option;
+  mutable next : 'v node option;
 }
 
-type shard = {
+type 'v shard = {
   lock : Mutex.t;
-  table : (string, node) Hashtbl.t;
-  mutable head : node option;
-  mutable tail : node option;
+  table : (string, 'v node) Hashtbl.t;
+  mutable head : 'v node option;
+  mutable tail : 'v node option;
   mutable count : int;
   cap : int;  (* per-shard capacity *)
   mutable hits : int;
@@ -21,7 +21,7 @@ type shard = {
   mutable evictions : int;
 }
 
-type t = { shard_arr : shard array; capacity : int }
+type 'v t = { shard_arr : 'v shard array; capacity : int }
 
 type stats = {
   hits : int;
@@ -126,7 +126,7 @@ let clear t =
           s.count <- 0))
     t.shard_arr
 
-let stats (t : t) =
+let stats (t : _ t) =
   Array.fold_left
     (fun acc s ->
       Mutex.protect s.lock (fun () ->

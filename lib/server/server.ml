@@ -65,6 +65,28 @@ type corpus_state = {
          retires them by keyspace, no invalidation hook needed *)
 }
 
+(* What one corpus contributes to a cacheable endpoint, rendered at its
+   pinned generation. /search stays typed so the multi-corpus merge can
+   order items without re-reading them; its EXPLAIN/ANALYZE [blocks]
+   ride along per corpus. *)
+type results = {
+  query : string list;
+  ranked : bool;
+  count : int;
+  items : Api.item list;
+  blocks : (string * Json.t) list;
+}
+
+type body =
+  | Results of results
+  | Payload of Json.t  (* /refine, /suggest: the corpus's own response *)
+  | Completions of { prefix : string; completions : (string * int) list }
+
+(* The unit a shard caches and coalesces: one partial per served corpus,
+   tagged with the (corpus, generation, index mode) it was pinned at,
+   which is also what the slow-query log attributes a request to. *)
+type partial = { corpus : string; generation : int; mode : string; body : body }
+
 (* One serving shard: a subset of the corpora plus its own result cache.
    Cache keys embed the pinned generation ids, so an entry written for
    generation N can never answer a request admitted at N+1 — the cache
@@ -73,8 +95,8 @@ type corpus_state = {
 type shard = {
   sid : int;
   corpora : corpus_state array;
-  cache : Lru.t;
-  flights : Xr_batch.Coalesce.t option;
+  cache : partial list Lru.t;
+  flights : partial list Xr_batch.Coalesce.t option;
       (* single-flight admission on cache misses: concurrent identical
          requests coalesce onto one render *)
 }
@@ -94,8 +116,6 @@ type t = {
 }
 
 let metrics t = t.server_metrics
-
-let cache t = t.shards.(0).cache
 
 let queue_depth t = Pool.depth t.pool
 
@@ -126,49 +146,6 @@ let combined_cache_stats t =
     { Lru.hits = 0; misses = 0; entries = 0; evictions = 0; capacity = 0; shards = 0 }
     t.shards
 
-(* ---- request-scoped corpus attribution ---------------------------------- *)
-
-(* Which (corpus, generation, index mode) tuples a request was actually
-   served from — recorded at pin time in [shard_body], consumed by the
-   slow-query log so a slow line stays attributable after a publish has
-   swapped the index. Ambient like the tracing context; [fan_out]
-   re-installs it on pool domains. Only installed when the slow-query
-   log is armed, so normal serving never touches it. *)
-module Served = struct
-  type sink = { sm : Mutex.t; mutable items : (string * int * string) list }
-
-  let key : sink option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-  let current () = Domain.DLS.get key
-
-  let install s f =
-    match s with
-    | None -> f ()
-    | Some _ ->
-      let saved = Domain.DLS.get key in
-      Domain.DLS.set key s;
-      Fun.protect ~finally:(fun () -> Domain.DLS.set key saved) f
-
-  let with_sink f =
-    let s = { sm = Mutex.create (); items = [] } in
-    let saved = Domain.DLS.get key in
-    Domain.DLS.set key (Some s);
-    Fun.protect
-      ~finally:(fun () -> Domain.DLS.set key saved)
-      (fun () ->
-        let v = f () in
-        (v, List.rev s.items))
-
-  let note cname (gen : Generation.gen) =
-    match Domain.DLS.get key with
-    | None -> ()
-    | Some s ->
-      let mode = Index.mode_name (Index.mode gen.Generation.index) in
-      let item = (cname, gen.Generation.id, mode) in
-      Mutex.protect s.sm (fun () ->
-          if not (List.mem item s.items) then s.items <- item :: s.items)
-end
-
 (* ---- request handling --------------------------------------------------- *)
 
 let bad_request msg = Http.json_response ~status:400 (Api.error_payload msg)
@@ -195,33 +172,27 @@ let bool_param req name =
   | Some ("true" | "1" | "yes") -> true
   | _ -> false
 
-(* The corpora a request addresses: all of them, or the one named by
-   [?corpus=] (scatter-gather restricted to a single member). *)
-let served_corpora t req =
-  match Http.query_param req "corpus" with
-  | None -> Ok None
-  | Some name -> (
-    match find_corpus t name with
-    | Some _ -> Ok (Some name)
-    | None ->
-      Error (Http.json_response ~status:404 (Api.error_payload ("unknown corpus " ^ name))))
-
-let shard_members shard only =
-  match only with
-  | None -> Array.to_list shard.corpora
-  | Some name -> List.filter (fun cs -> cs.cname = name) (Array.to_list shard.corpora)
-
 (* Per-shard cached evaluation. Pins every served corpus of the shard,
    tags the cache key with the pinned generation ids, and either serves
-   the cached body or renders [render pins] and caches it. The cached
-   unit is the serialized body, so hits are byte-identical to the
-   response that populated them. *)
-let shard_body ?(cache = true) shard members ~base_key ~render =
+   the cached partials or renders them with [render_one] and caches
+   them. Rendering is deterministic, so a hit answers byte-identically
+   to the miss that populated it. *)
+let shard_partials ?(cache = true) shard members ~base_key ~render_one =
   let pins = List.map (fun cs -> (cs, Generation.pin cs.gens)) members in
   Fun.protect
     ~finally:(fun () -> List.iter (fun (_, g) -> Generation.unpin g) pins)
   @@ fun () ->
-  List.iter (fun (cs, g) -> Served.note cs.cname g) pins;
+  let render () =
+    List.map
+      (fun (cs, (g : Generation.gen)) ->
+        {
+          corpus = cs.cname;
+          generation = g.Generation.id;
+          mode = Index.mode_name (Index.mode g.Generation.index);
+          body = render_one cs g;
+        })
+      pins
+  in
   let gsig =
     String.concat ","
       (List.map (fun (_, g) -> string_of_int g.Generation.id) pins)
@@ -230,212 +201,187 @@ let shard_body ?(cache = true) shard members ~base_key ~render =
   if not cache then
     (* ANALYZE runs report fresh actuals: no cache read or write, no
        coalescing onto another request's render. *)
-    (render pins, false)
+    (render (), false)
   else
     match Xr_obs.Tracing.with_span "cache" (fun () -> Lru.find shard.cache key) with
-    | Some body -> (body, true)
-    | None -> (
-      match shard.flights with
-      | None ->
-        let body = render pins in
-        Lru.add shard.cache key body;
-        (body, false)
-      | Some flights ->
-        (* Single-flight on the generation-tagged key: every member of a
-           coalesced flight pinned the same generations (key equality),
-           so the leader's bytes answer all of them. Followers count as
-           cache hits — they were served without rendering. *)
-        let body, follower = Xr_batch.Coalesce.run flights ~key (fun () -> render pins) in
-        if not follower then Lru.add shard.cache key body;
-        (body, follower))
+    | Some parts -> (parts, true)
+    | None ->
+      (* Single-flight on the generation-tagged key: every member of a
+         coalesced flight pinned the same generations (key equality),
+         so the leader's partials answer all of them. Followers count
+         as cache hits — they were served without rendering. *)
+      let parts, follower =
+        match shard.flights with
+        | None -> (render (), false)
+        | Some flights -> Xr_batch.Coalesce.run flights ~key render
+      in
+      if not follower then Lru.add shard.cache key parts;
+      (parts, follower)
 
 (* Fan a computation out over the shards that serve this request. One
    shard runs inline; several go through the shared domain pool (the
-   scatter of scatter-gather). Results come back in shard order. *)
+   scatter of scatter-gather), which re-raises a task's exception once
+   the batch is done. Results come back in shard order. *)
 let fan_out tasks =
   match tasks with
   | [| task |] -> [| task () |]
   | tasks ->
-    let n = Array.length tasks in
-    let out = Array.make n None in
-    let sink = Served.current () in
-    Xr_pool.run
-      (Xr_pool.global ())
-      (Array.mapi
-         (fun i task () ->
-           out.(i) <-
-             Some (try Ok (Served.install sink task) with e -> Error e))
-         tasks);
-    Array.map
-      (function Some (Ok v) -> v | Some (Error e) -> raise e | None -> assert false)
-      out
-
-let json_body body headers = Http.response ~status:200 ~headers body
+    let out = Array.make (Array.length tasks) None in
+    Xr_pool.run (Xr_pool.global ())
+      (Array.mapi (fun i task () -> out.(i) <- Some (task ())) tasks);
+    Array.map Option.get out
 
 let cache_headers hit =
   [ ("content-type", "application/json"); ("x-cache", (if hit then "hit" else "miss")) ]
 
-(* Evaluate a cacheable endpoint. [render_one] renders a single corpus
-   at a pinned generation (handed whole, so plan caches can key on its
-   id) to its (legacy, byte-stable) payload. In single-corpus mode the
-   response body is exactly that payload; with several corpora each
-   shard caches a JSON list of corpus-wrapped payloads and [merge]
-   combines the parsed partials. *)
+let with_fields fields = function Json.Obj f -> Json.Obj (f @ fields) | j -> j
+
+let tagged corpus = function
+  | Json.Obj fields -> Json.Obj (("corpus", Json.String corpus) :: fields)
+  | j -> j
+
+(* A corpus's own response: the whole body in single-corpus mode. *)
+let payload = function
+  | Results r ->
+    with_fields r.blocks
+      (Api.search_json ~query:r.query ~ranked:r.ranked ~count:r.count r.items)
+  | Payload j -> j
+  | Completions c -> Api.complete_payload ~prefix:c.prefix c.completions
+
+(* Evaluate a cacheable endpoint: scatter over the shards serving the
+   request, gather their partials in shard order, and render JSON once.
+   [render_one] renders a single corpus at a pinned generation (handed
+   whole, so plan caches can key on its id). With one corpus the body is
+   its (legacy, byte-stable) payload; with several, [merge] combines the
+   partials. Also returns the (corpus, generation, index mode) tuples
+   the response was served from. *)
 let gather ?cache t req ~base_key ~render_one ~merge =
-  match served_corpora t req with
-  | Error resp -> resp
-  | Ok only ->
-    let shards =
-      List.filter
-        (fun (_, members) -> members <> [])
-        (List.map (fun s -> (s, shard_members s only)) (Array.to_list t.shards))
+  (* all corpora, or the one named by [?corpus=] *)
+  let only = Http.query_param req "corpus" in
+  let served cs = Option.fold ~none:true ~some:(String.equal cs.cname) only in
+  let members s = List.filter served (Array.to_list s.corpora) in
+  let shards =
+    List.filter_map
+      (fun s -> match members s with [] -> None | m -> Some (s, m))
+      (Array.to_list t.shards)
+  in
+  match (shards, only) with
+  | [], Some name ->
+    (Http.json_response ~status:404 (Api.error_payload ("unknown corpus " ^ name)), [])
+  | _ ->
+    let results =
+      fan_out
+        (Array.of_list
+           (List.map
+              (fun (shard, members) () ->
+                shard_partials ?cache shard members ~base_key ~render_one)
+              shards))
     in
-    if t.single then
-      let shard, members = List.hd shards in
-      let body, hit =
-        shard_body ?cache shard members ~base_key ~render:(fun pins ->
-            let cs, gen = List.hd pins in
-            Json.to_string (render_one cs gen) ^ "\n")
-      in
-      json_body body (cache_headers hit)
-    else
-      let render pins =
-        Json.to_string
-          (Json.List
-             (List.map
-                (fun (cs, gen) ->
-                  match render_one cs gen with
-                  | Json.Obj fields ->
-                    Json.Obj (("corpus", Json.String cs.cname) :: fields)
-                  | j -> j)
-                pins))
-      in
-      let partials =
-        fan_out
-          (Array.of_list
-             (List.map
-                (fun (shard, members) () -> shard_body ?cache shard members ~base_key ~render)
-                shards))
-      in
-      let parsed =
-        List.concat_map
-          (fun (body, _) ->
-            match Json.of_string body with
-            | Ok (Json.List l) -> l
-            | Ok j -> [ j ]
-            | Error _ -> [])
-          (Array.to_list partials)
-      in
-      let hit = Array.for_all (fun (_, h) -> h) partials in
-      let body = Json.to_string (merge parsed) ^ "\n" in
-      json_body body (cache_headers hit)
+    let parts = List.concat_map fst (Array.to_list results) in
+    let hit = Array.for_all snd results in
+    let json = if t.single then payload (List.hd parts).body else merge parts in
+    ( Http.response ~status:200 ~headers:(cache_headers hit) (Json.to_string json ^ "\n"),
+      List.map (fun p -> (p.corpus, p.generation, p.mode)) parts )
 
-(* ---- merge helpers for the gather (multi-corpus) schemas -------------- *)
-
-let json_str name j =
-  match Json.member name j with Some (Json.String s) -> s | _ -> ""
-
-let json_int name j = match Json.member name j with Some (Json.Int n) -> n | _ -> 0
-
-let json_list name j = match Json.member name j with Some (Json.List l) -> l | _ -> []
-
-let json_float name j =
-  match Json.member name j with
-  | Some (Json.Float f) -> f
-  | Some (Json.Int n) -> float_of_int n
-  | _ -> 0.
+(* ---- merges for the gather (multi-corpus) schemas --------------------- *)
 
 (* Tag each result item with its corpus and merge the per-corpus ranked
-   lists: score descending, ties by (corpus, dewey) so the order is
-   deterministic across runs and cache states. *)
-let merge_search t ~query ~ranked ~limit parsed =
+   lists: score descending — compared at the %.12g precision the JSON
+   printer writes, so ties are the ties a client sees — then
+   (corpus, dewey), deterministic across runs and cache states. Each
+   corpus's EXPLAIN/ANALYZE blocks follow, tagged with the corpus. *)
+let merge_search t ~query ~ranked ~limit parts =
+  let rs =
+    List.filter_map
+      (fun p -> match p.body with Results r -> Some (p.corpus, r) | _ -> None)
+      parts
+  in
+  let wire s = Option.value ~default:0. (float_of_string_opt (Json.float_to_string s)) in
   let items =
     List.concat_map
-      (fun payload ->
-        let corpus = json_str "corpus" payload in
-        List.map
-          (fun item ->
-            match item with
-            | Json.Obj fields -> Json.Obj (("corpus", Json.String corpus) :: fields)
-            | j -> j)
-          (json_list "results" payload))
-      parsed
+      (fun (c, r) -> List.map (fun (i : Api.item) -> (wire i.score, c, i)) r.items)
+      rs
   in
   let items =
     if ranked then
       List.stable_sort
-        (fun a b ->
-          let c = Float.compare (json_float "score" b) (json_float "score" a) in
+        (fun (sa, ca, (a : Api.item)) (sb, cb, (b : Api.item)) ->
+          let c = Float.compare sb sa in
           if c <> 0 then c
           else
-            let c = String.compare (json_str "corpus" a) (json_str "corpus" b) in
-            if c <> 0 then c
-            else String.compare (json_str "dewey" a) (json_str "dewey" b))
+            let c = String.compare ca cb in
+            if c <> 0 then c else String.compare a.dewey b.dewey)
         items
     else items
   in
-  let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
-  let items = if limit < 0 then items else take limit items in
+  let blocks name =
+    let block (c, r) = Option.map (tagged c) (List.assoc_opt name r.blocks) in
+    match List.filter_map block rs with [] -> [] | l -> [ (name, Json.List l) ]
+  in
   Json.Obj
-    [
-      ("query", Json.List (List.map (fun k -> Json.String k) query));
-      ("count", Json.Int (List.fold_left (fun a p -> a + json_int "count" p) 0 parsed));
-      ("ranked", Json.Bool ranked);
-      ("shards", Json.Int (Array.length t.shards));
-      ("corpora", Json.List (List.map (fun n -> Json.String n) (corpora_names t)));
-      ("results", Json.List items);
-    ]
+    ([
+       ("query", Json.List (List.map (fun k -> Json.String k) query));
+       ("count", Json.Int (List.fold_left (fun a (_, r) -> a + r.count) 0 rs));
+       ("ranked", Json.Bool ranked);
+       ("shards", Json.Int (Array.length t.shards));
+       ("corpora", Json.List (List.map (fun n -> Json.String n) (corpora_names t)));
+       ( "results",
+         Json.List
+           (List.map
+              (fun (_, c, (i : Api.item)) -> tagged c i.json)
+              (Api.take limit items)) );
+     ]
+    @ blocks "explain" @ blocks "analyze")
 
 (* Refine/suggest outcomes are corpus-local (refinement candidates are
    scored against one corpus's statistics), so the gather keeps them
    side by side instead of inventing a cross-corpus ranking. *)
-let merge_by_corpus t ~query parsed =
+let merge_by_corpus t ~query parts =
   Json.Obj
     [
       ("query", Json.List (List.map (fun k -> Json.String k) query));
       ("shards", Json.Int (Array.length t.shards));
-      ("corpora", Json.List parsed);
+      ("corpora", Json.List (List.map (fun p -> tagged p.corpus (payload p.body)) parts));
     ]
 
-let merge_complete ~prefix ~k parsed =
+let merge_complete ~prefix ~k parts =
   let tally = Hashtbl.create 32 in
   List.iter
-    (fun payload ->
-      List.iter
-        (fun item ->
-          let w = json_str "keyword" item in
-          let n = json_int "occurrences" item in
-          Hashtbl.replace tally w (n + try Hashtbl.find tally w with Not_found -> 0))
-        (json_list "completions" payload))
-    parsed;
+    (fun p ->
+      match p.body with
+      | Completions c ->
+        List.iter
+          (fun (w, n) ->
+            let seen = Option.value ~default:0 (Hashtbl.find_opt tally w) in
+            Hashtbl.replace tally w (n + seen))
+          c.completions
+      | _ -> ())
+    parts;
   let merged =
     Hashtbl.fold (fun w n acc -> (w, n) :: acc) tally []
     |> List.sort (fun (wa, na) (wb, nb) ->
            let c = Int.compare nb na in
            if c <> 0 then c else String.compare wa wb)
   in
-  let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
-  Api.complete_payload ~prefix (take k merged)
+  Api.complete_payload ~prefix (Api.take k merged)
 
 (* ---- endpoint handlers ------------------------------------------------ *)
 
-(* Attach EXPLAIN (and ANALYZE) blocks to one corpus render. The plan
-   block is built first so its compile (and possible measure pass) is
-   not charged to the execution's GC delta; ANALYZE installs the
+(* Compute one corpus render along with its EXPLAIN (and ANALYZE)
+   blocks, [[]] when neither was asked for. The plan block is built
+   first so its compile (and possible measure pass) is not charged to
+   the execution's GC delta; ANALYZE installs the
    collection channel, times the render, and captures the handler-side
    GC around exactly the computation. *)
 let with_introspection ~explain_p ~analyze ~explain compute =
-  if not explain_p then compute ()
+  if not explain_p then (compute (), [])
   else begin
     let xfield = ("explain", explain ()) in
-    if not analyze then
-      match compute () with
-      | Json.Obj fields -> Json.Obj (fields @ [ xfield ])
-      | j -> j
+    if not analyze then (compute (), [ xfield ])
     else begin
       let g0 = Xr_obs.Runtime.capture () in
       let t0 = Xr_obs.Tracing.now_ns () in
-      let payload, report = Xr_obs.Analyze.with_report compute in
+      let v, report = Xr_obs.Analyze.with_report compute in
       let ms = Int64.to_float (Int64.sub (Xr_obs.Tracing.now_ns ()) t0) /. 1e6 in
       let gc = Xr_obs.Runtime.delta g0 in
       let spans =
@@ -448,22 +394,19 @@ let with_introspection ~explain_p ~analyze ~explain compute =
             (fun (s : Xr_obs.Tracing.span) -> s.Xr_obs.Tracing.parent_id <> 0)
             (Xr_obs.Tracing.spans_of_trace tid)
       in
-      match payload with
-      | Json.Obj fields ->
-        Json.Obj
-          (fields @ [ xfield; ("analyze", Api.analyze_payload ~ms ~gc ~spans report) ])
-      | j -> j
+      (v, [ xfield; ("analyze", Api.analyze_payload ~ms ~gc ~spans report) ])
     end
   end
 
+let ( let* ) r f = match r with Error resp -> (resp, []) | Ok v -> f v
+
 let handle_search t req =
-  let ( let* ) r f = match r with Error resp -> resp | Ok v -> f v in
   let* query = tokenized_query req in
   let alg_name =
     match Http.query_param req "alg" with Some a -> a | None -> "scan-parallel"
   in
   match Xr_slca.Engine.of_name alg_name with
-  | None -> bad_request (Printf.sprintf "unknown SLCA engine %s" alg_name)
+  | None -> (bad_request (Printf.sprintf "unknown SLCA engine %s" alg_name), [])
   | Some slca ->
     let rank = bool_param req "rank" in
     let analyze = bool_param req "analyze" in
@@ -501,24 +444,26 @@ let handle_search t req =
             Xr_slca.Result_rank.rank index.Index.stats ~query:ids slcas
           else List.map (fun d -> (d, 0.)) slcas
         in
-        Api.search_payload index ~query ~ranked:rank ~limit entries
+        (List.length entries, Api.search_items index ~query ~ranked:rank ~limit entries)
       in
-      with_introspection ~explain_p ~analyze
-        ~explain:(fun () ->
-          Api.explain_payload (Xr_batch.Plan.explain_search ~config index query))
-        compute
+      let (count, items), blocks =
+        with_introspection ~explain_p ~analyze
+          ~explain:(fun () ->
+            Api.explain_payload (Xr_batch.Plan.explain_search ~config index query))
+          compute
+      in
+      Results { query; ranked = rank; count; items; blocks }
     in
     gather ~cache:(not analyze) t req ~base_key ~render_one
       ~merge:(merge_search t ~query ~ranked:rank ~limit)
 
 let handle_refine t req =
-  let ( let* ) r f = match r with Error resp -> resp | Ok v -> f v in
   let* query = tokenized_query req in
   let alg_name =
     match Http.query_param req "alg" with Some a -> a | None -> "partition"
   in
   match Engine.algorithm_of_name alg_name with
-  | None -> bad_request (Printf.sprintf "unknown refinement algorithm %s" alg_name)
+  | None -> (bad_request (Printf.sprintf "unknown refinement algorithm %s" alg_name), [])
   | Some algorithm ->
     let* k = int_param req "k" ~default:3 in
     let* limit = int_param req "limit" ~default:t.config.result_limit in
@@ -552,15 +497,17 @@ let handle_refine t req =
         in
         Api.refine_payload index ~query ~limit resp
       in
-      with_introspection ~explain_p ~analyze
-        ~explain:(fun () ->
-          Api.explain_refine_payload (Xr_batch.Plan.explain_refine ~config index query))
-        compute
+      let payload, blocks =
+        with_introspection ~explain_p ~analyze
+          ~explain:(fun () ->
+            Api.explain_refine_payload (Xr_batch.Plan.explain_refine ~config index query))
+          compute
+      in
+      Payload (with_fields blocks payload)
     in
     gather ~cache:(not analyze) t req ~base_key ~render_one ~merge:(merge_by_corpus t ~query)
 
 let handle_suggest t req =
-  let ( let* ) r f = match r with Error resp -> resp | Ok v -> f v in
   let* query = tokenized_query req in
   let* k = int_param req "k" ~default:5 in
   let* limit = int_param req "limit" ~default:t.config.result_limit in
@@ -569,28 +516,27 @@ let handle_suggest t req =
     let index = gen.Generation.index in
     let config = { Xr_refine.Specialize.default_config with Xr_refine.Specialize.k } in
     let suggestions = Xr_refine.Specialize.suggest ~config index query in
-    Api.suggest_payload index ~query ~limit suggestions
+    Payload (Api.suggest_payload index ~query ~limit suggestions)
   in
   gather t req ~base_key ~render_one ~merge:(merge_by_corpus t ~query)
 
 let handle_complete t req =
-  let ( let* ) r f = match r with Error resp -> resp | Ok v -> f v in
   let prefix =
     match Http.query_param req "prefix" with
     | Some p -> Some p
     | None -> Http.query_param req "q"
   in
   match prefix with
-  | None -> bad_request "missing query parameter prefix"
+  | None -> (bad_request "missing query parameter prefix", [])
   | Some raw ->
     let prefix = Xr_xml.Token.normalize raw in
-    if prefix = "" then bad_request "prefix has no keyword characters"
+    if prefix = "" then (bad_request "prefix has no keyword characters", [])
     else
       let* k = int_param req "k" ~default:10 in
       let base_key = Printf.sprintf "complete|%d|%s" k prefix in
       let render_one cs (_gen : Generation.gen) =
-        Api.complete_payload ~prefix
-          (Xr_text.Trie.complete (Atomic.get cs.ctrie) ~limit:k prefix)
+        let trie = Atomic.get cs.ctrie in
+        Completions { prefix; completions = Xr_text.Trie.complete trie ~limit:k prefix }
       in
       gather t req ~base_key ~render_one ~merge:(merge_complete ~prefix ~k)
 
@@ -670,7 +616,7 @@ let handle_stats t =
            ("batch", batch);
          ])
 
-let handle t (req : Http.request) =
+let handle_plain t (req : Http.request) =
   match (req.Http.path, req.Http.meth) with
   | "/ingest", Http.POST -> handle_ingest t req
   | "/ingest", _ ->
@@ -710,11 +656,20 @@ let handle t (req : Http.request) =
           let last = min (max last 0) 256 in
           Http.json_response (Api.trace_payload (Xr_obs.Tracing.recent_traces last))))
     | "/stats" -> handle_stats t
-    | "/search" -> handle_search t req
-    | "/refine" -> handle_refine t req
-    | "/suggest" -> handle_suggest t req
-    | "/complete" -> handle_complete t req
     | p -> Http.json_response ~status:404 (Api.error_payload ("no such endpoint " ^ p)))
+
+(* The cacheable endpoints answer with the (corpus, generation, index
+   mode) tuples they were served from, in shard order — the slow-query
+   log's attribution; every other endpoint reads no index. *)
+let route t (req : Http.request) =
+  match (req.Http.path, req.Http.meth) with
+  | "/search", Http.GET -> handle_search t req
+  | "/refine", Http.GET -> handle_refine t req
+  | "/suggest", Http.GET -> handle_suggest t req
+  | "/complete", Http.GET -> handle_complete t req
+  | _ -> (handle_plain t req, [])
+
+let handle t req = fst (route t req)
 
 (* ---- per-connection worker ---------------------------------------------- *)
 
@@ -785,9 +740,7 @@ let handle_conn t conn =
           let t0 = Unix.gettimeofday () in
           let (resp, corpora), trace_id =
             Xr_obs.Tracing.with_trace "request" (fun () ->
-                if t.config.slow_query_ms > 0. then
-                  Served.with_sink (fun () -> try handle t req with _ -> internal_error)
-                else ((try handle t req with _ -> internal_error), []))
+                try route t req with _ -> (internal_error, []))
           in
           let ms = (Unix.gettimeofday () -. t0) *. 1000. in
           let ka = Http.keep_alive req && served + 1 < t.config.keepalive_requests in

@@ -15,8 +15,9 @@
     ({!Xr_ingest.Generation}), write paths ({!Xr_ingest.Ingest}) and a
     sharded result LRU ({!Lru}). A query pins the current generation of
     every corpus it touches, fans out over the shards through the shared
-    {!Xr_pool}, and merges the ranked partials (scatter-gather). Cache
-    keys embed the pinned generation ids, so a cached body can never
+    {!Xr_pool}, and merges the typed per-corpus partials the shards
+    return and cache, rendering JSON once (scatter-gather). Cache keys
+    embed the pinned generation ids, so a cached partial can never
     outlive the index swap that invalidated it. With a single corpus the
     response schemas are byte-identical to the pre-ingest server.
 
@@ -118,10 +119,12 @@ val stop : t -> unit
     no sockets. *)
 val handle : t -> Http.request -> Http.response
 
-val metrics : t -> Metrics.t
+(** [route t req] is {!handle} plus the (corpus, generation id, index
+    mode) tuples the response was served from, in shard order, on cache
+    hits as on misses — what the slow-query log attributes the request
+    to. Empty for endpoints that read no index. *)
+val route : t -> Http.request -> Http.response * (string * int * string) list
 
-(** [cache t] is the first shard's result cache (the only one in
-    single-corpus mode). *)
-val cache : t -> Lru.t
+val metrics : t -> Metrics.t
 
 val queue_depth : t -> int

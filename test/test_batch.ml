@@ -4,8 +4,8 @@
    compiled plans against the uncompiled engine (byte-compared through
    the served payloads), plan-cache hit/eviction/single-flight
    behaviour and its generation-keyed invalidation across an ingest
-   publish, and the single-flight coalescer's leader/follower
-   contract. *)
+   publish, the single-flight coalescer's leader/follower contract, and
+   lookups nested in a compile or render through pool help. *)
 
 open Xr_xml
 module P = Dewey.Packed
@@ -468,6 +468,74 @@ let test_coalesce_follower_helps () =
       check Alcotest.int "queued task ran exactly once" 1 (Atomic.get helped_ran);
       check Alcotest.bool "helped counter ticked" true (Coalesce.helped () > helped_before))
 
+(* ---- nested pool help ----------------------------------------------------- *)
+
+(* Run [f] on its own domain and fail, instead of hanging the suite,
+   when it has not returned after [seconds]; a stuck body is abandoned. *)
+let within ~seconds what f =
+  let result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Atomic.get result with
+    | Some r ->
+      Domain.join d;
+      (match r with Ok v -> v | Error e -> raise e)
+    | None ->
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "%s: still blocked after %.0f s" what seconds
+      else begin
+        Unix.sleepf 0.005;
+        wait ()
+      end
+  in
+  wait ()
+
+let test_plan_cache_nested_help () =
+  (* A compile helps the domain pool (its cost measure runs a batch), and
+     the task it picks up — another request's shard render — looks up
+     plans in the same shard: here both the key being compiled and a
+     fresh one. A size-1 pool runs the task inline, nested in the
+     compile; compiling under the shard lock relocked it on the same
+     domain. *)
+  let pool = Xr_pool.create ~domains:1 () in
+  let cache = Plan_cache.create ~shards:1 ~capacity:8 () in
+  Fun.protect ~finally:(fun () -> Xr_pool.shutdown pool) @@ fun () ->
+  within ~seconds:3. "nested plan lookups" (fun () ->
+      ignore
+        (Plan_cache.find_or_compile cache ~key:"outer" (fun () ->
+             Xr_pool.run pool
+               [|
+                 (fun () ->
+                   ignore (Plan_cache.find_or_compile cache ~key:"outer" dummy_search);
+                   ignore (Plan_cache.find_or_compile cache ~key:"inner" dummy_search));
+               |];
+             dummy_search ())));
+  check Alcotest.int "both plans cached" 2 (Plan_cache.size cache)
+
+let test_coalesce_nested_help () =
+  (* A leader's render helps the pool and picks up a task asking for the
+     same key. That task runs nested in the leader's frame, so following
+     the flight would wait on itself: it renders on its own instead. *)
+  let pool = Xr_pool.create ~domains:1 () in
+  let t = Coalesce.create () in
+  Fun.protect ~finally:(fun () -> Xr_pool.shutdown pool) @@ fun () ->
+  let nested = ref ("", true) in
+  let outer =
+    within ~seconds:3. "nested follower" (fun () ->
+        Coalesce.run t ~key:"k" (fun () ->
+            Xr_pool.run pool
+              [| (fun () -> nested := Coalesce.run t ~key:"k" (fun () -> "nested")) |];
+            "outer"))
+  in
+  check Alcotest.(pair string bool) "leader keeps its own value" ("outer", false) outer;
+  check
+    Alcotest.(pair string bool)
+    "nested arrival renders, not follows" ("nested", false) !nested;
+  check Alcotest.int "flight closed" 0 (Coalesce.in_flight t)
+
 let test_coalesce_window () =
   let t = Coalesce.create ~window_ms:2.5 () in
   check (Alcotest.float 0.001) "window readable" 2.5 (Coalesce.window_ms t);
@@ -619,6 +687,7 @@ let () =
         [
           Alcotest.test_case "hits and eviction" `Quick test_plan_cache_hits_and_eviction;
           Alcotest.test_case "single flight" `Quick test_plan_cache_single_flight;
+          Alcotest.test_case "nested help" `Quick test_plan_cache_nested_help;
         ] );
       ( "coalesce",
         [
@@ -626,6 +695,7 @@ let () =
           Alcotest.test_case "exception propagates" `Quick test_coalesce_exception_propagates;
           Alcotest.test_case "follower helps the pool" `Quick test_coalesce_follower_helps;
           Alcotest.test_case "window" `Quick test_coalesce_window;
+          Alcotest.test_case "nested help" `Quick test_coalesce_nested_help;
         ] );
       ( "server",
         [
